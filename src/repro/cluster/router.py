@@ -53,18 +53,14 @@ snapshots") has the full timestamp flow.
 
 from __future__ import annotations
 
-import asyncio
 import contextlib
 import dataclasses
-import signal
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from repro.common.errors import (
     AmbiguousResultError,
-    CircuitOpenError,
     ProtocolError,
     RemoteError,
     TxnStateError,
@@ -72,22 +68,20 @@ from repro.common.errors import (
 from repro.client.pool import ConnectionPool, RetryPolicy
 from repro.cluster.coordinator import CoordinatorLog
 from repro.cluster.shardmap import DEFAULT_RANGE_SIZE, ShardMap
-from repro.server.protocol import (
-    Command,
-    Status,
-    decode_request,
-    encode_response,
-    error_payload,
-    frame_length,
-    status_for_exception,
+from repro.server.dispatch import CommandCounter, Dispatcher
+from repro.server.protocol import Command
+from repro.server.session import Session
+from repro.server.shell import (
+    WireServer,
+    arity,
+    as_int,
+    as_predicate,
+    as_row,
+    as_rows,
+    as_str,
+    begin_args,
+    claim,
 )
-from repro.server.session import Session, SessionManager
-
-#: Commands a draining router still serves (mirrors the server's list).
-_DRAIN_ALLOWED = frozenset({
-    Command.PING, Command.COMMIT, Command.ABORT, Command.TXN_STATUS,
-    Command.STATS, Command.SHUTDOWN, Command.CLOSED_TS,
-})
 
 
 @dataclass(frozen=True)
@@ -177,28 +171,6 @@ class GlobalTxn:
         self.read_ts = read_ts
 
 
-class _Fanout:
-    """Per-command fan-out latency counters (STATS ``router.fanout``)."""
-
-    __slots__ = ("calls", "total_usec", "max_usec")
-
-    def __init__(self) -> None:
-        self.calls = 0
-        self.total_usec = 0.0
-        self.max_usec = 0.0
-
-    def note(self, wall_sec: float) -> None:
-        usec = wall_sec * 1e6
-        self.calls += 1
-        self.total_usec += usec
-        self.max_usec = max(self.max_usec, usec)
-
-    def as_dict(self) -> dict:
-        mean = self.total_usec / self.calls if self.calls else 0.0
-        return {"calls": self.calls, "mean_usec": round(mean, 1),
-                "max_usec": round(self.max_usec, 1)}
-
-
 @dataclass
 class RouterStats:
     """2PC and routing counters the STATS command reports."""
@@ -225,40 +197,42 @@ class RouterStats:
     begins_at_ts: int = 0
     #: fan-out commands (those contacting more than one shard)
     fanouts: int = 0
-    fanout: dict = field(default_factory=dict)
+    fanout: dict[str, CommandCounter] = field(default_factory=dict)
 
     def note_fanout(self, name: str, wall_sec: float) -> None:
         self.fanouts += 1
-        self.fanout.setdefault(name, _Fanout()).note(wall_sec)
+        self.fanout.setdefault(name, CommandCounter()).observe(wall_sec)
 
     def as_dict(self) -> dict:
         out = {k: v for k, v in self.__dict__.items() if k != "fanout"}
-        out["fanout"] = {name: f.as_dict()
-                        for name, f in sorted(self.fanout.items())}
+        out["fanout"] = {
+            name: {"calls": c.calls,
+                   "mean_usec": round(c.mean_wall_sec * 1e6, 1),
+                   "max_usec": round(c.max_wall_sec * 1e6, 1)}
+            for name, c in sorted(self.fanout.items())}
         return out
 
 
-class _CommandCounter:
-    __slots__ = ("calls", "ok", "errors", "total_wall", "max_wall")
-
-    def __init__(self) -> None:
-        self.calls = 0
-        self.ok = 0
-        self.errors = 0
-        self.total_wall = 0.0
-        self.max_wall = 0.0
-
-
-class ClusterRouter:
+class ClusterRouter(WireServer):
     """One listening socket, N shards, unmodified wire protocol."""
+
+    role = "router"
+    #: the router never sheds: every job is exempt from admission and
+    #: bounded only by the dispatcher's ``executor_workers`` slots
+    exempt_commands = frozenset(Command)
 
     def __init__(self, shards: list[tuple[str, int]],
                  config: RouterConfig | None = None,
                  coordinator_log: CoordinatorLog | None = None) -> None:
         if not shards:
             raise ValueError("at least one shard address required")
-        self.config = config or RouterConfig()
-        self.config.validate()
+        config = config or RouterConfig()
+        config.validate()
+        # RouterConfig.chaos faults the router→shard links (the pool
+        # below), not inbound client frames
+        super().__init__(config, Dispatcher(
+            max_in_flight=config.executor_workers, max_queue_depth=0,
+            executor_workers=config.executor_workers))
         self.shard_addrs = [(h, p) for h, p in shards]
         self.shard_map = ShardMap(len(shards),
                                   range_size=self.config.range_size)
@@ -270,13 +244,7 @@ class ClusterRouter:
             connect_timeout_sec=self.config.connect_timeout_sec,
             request_timeout_sec=self.config.request_timeout_sec,
             chaos=self.config.chaos)
-        self.sessions = SessionManager(self.config.idle_timeout_sec)
         self.stats = RouterStats()
-        self._commands: dict[str, _CommandCounter] = {}
-        self._executor = ThreadPoolExecutor(
-            max_workers=self.config.executor_workers,
-            thread_name_prefix="router")
-        self._executing = 0
         self._gtxid_mu = threading.Lock()
         # gtxids restart strictly above every durably known one so a fate
         # query for an old gtxid can never alias a new transaction
@@ -321,45 +289,6 @@ class ClusterRouter:
         #: the pinning reader finished would still be served a snapshot
         #: missing acked writes.
         self._commit_floor = 0
-        self.address: tuple[str, int] | None = None
-        self._server: asyncio.Server | None = None
-        self._stop_event: asyncio.Event | None = None
-        self._draining = False
-        self._closing = False
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._reaper_task: asyncio.Task | None = None
-        self._writers: dict[int, asyncio.StreamWriter] = {}
-        self._handler_tasks: set[asyncio.Task] = set()
-        self._thread: threading.Thread | None = None
-        self._started_monotonic = 0.0
-        self._handlers = {
-            Command.PING: self._cmd_ping,
-            Command.BEGIN: self._cmd_begin,
-            Command.COMMIT: self._cmd_commit,
-            Command.ABORT: self._cmd_abort,
-            Command.CREATE_TABLE: self._cmd_create_table,
-            Command.INSERT: self._cmd_insert,
-            Command.BULK_INSERT: self._cmd_bulk_insert,
-            Command.READ: self._cmd_read,
-            Command.UPDATE: self._cmd_update,
-            Command.DELETE: self._cmd_delete,
-            Command.LOOKUP: self._cmd_lookup,
-            Command.RANGE_LOOKUP: self._cmd_range_lookup,
-            Command.SCAN: self._cmd_scan,
-            Command.SCAN_BATCH: self._cmd_scan_batch,
-            Command.AGGREGATE: self._cmd_aggregate,
-            Command.SCAN_VID_RANGE: self._cmd_scan_vid_range,
-            Command.TICK: self._cmd_tick,
-            Command.MAINTENANCE: self._cmd_maintenance,
-            Command.SNAPSHOT: self._cmd_snapshot,
-            Command.STATS: self._cmd_stats,
-            Command.CLOCK_NOW: self._cmd_clock_now,
-            Command.CLOCK_ADVANCE: self._cmd_clock_advance,
-            Command.CLOCK_ADVANCE_TO: self._cmd_clock_advance_to,
-            Command.TXN_STATUS: self._cmd_txn_status,
-            Command.CLOSED_TS: self._cmd_closed_ts,
-            Command.SHUTDOWN: self._cmd_shutdown,
-        }
 
     # -- gtxid allocation ----------------------------------------------------
 
@@ -374,278 +303,36 @@ class ClusterRouter:
             if gtxid >= self._next_gtxid:
                 self._next_gtxid = gtxid + 1
 
-    # -- lifecycle -----------------------------------------------------------
+    # -- shell hooks ---------------------------------------------------------
 
     async def start(self) -> tuple[str, int]:
-        """Bind the socket (and settle any in-doubt 2PC state first)."""
-        self._loop = asyncio.get_running_loop()
-        self._stop_event = asyncio.Event()
-        self._started_monotonic = time.monotonic()
+        """Settle any in-doubt 2PC state, then bind the socket."""
         if self.config.resolve_on_start:
-            await self._loop.run_in_executor(self._executor,
-                                             self.resolve_in_doubt)
-        self._server = await asyncio.start_server(
-            self._handle, self.config.host, self.config.port)
-        sock = self._server.sockets[0].getsockname()
-        self.address = (sock[0], sock[1])
-        self._reaper_task = asyncio.create_task(self._reaper())
-        return self.address
-
-    def request_stop(self) -> None:
-        """Flip into drain (idempotent, safe from the loop thread)."""
-        self._draining = True
-        if self._stop_event is not None:
-            self._stop_event.set()
-
-    async def serve_until_stopped(self) -> None:
-        """Block until :meth:`request_stop`, then tear everything down."""
-        assert self._stop_event is not None, "start() first"
-        await self._stop_event.wait()
-        await self.stop()
+            await self.dispatch.run("RESOLVE_IN_DOUBT", self.resolve_in_doubt,
+                                    exempt=True)
+        return await super().start()
 
     async def stop(self) -> None:
         """Drain in-flight global transactions, then close everything."""
         if self._server is None:
             return
-        self.request_stop()
-        await self._drain()
-        self._closing = True
-        self._server.close()
-        await self._server.wait_closed()
-        self._server = None
-        if self._reaper_task is not None:
-            self._reaper_task.cancel()
-            with contextlib.suppress(asyncio.CancelledError):
-                await self._reaper_task
-            self._reaper_task = None
-        for writer in list(self._writers.values()):
-            writer.close()
-        if self._handler_tasks:
-            await asyncio.wait(self._handler_tasks, timeout=5.0)
-        self._executor.shutdown(wait=True)
+        await super().stop()
         self.pool.close()
 
-    async def _drain(self) -> None:
-        deadline = time.monotonic() + self.config.drain_timeout_sec
-        while time.monotonic() < deadline:
-            if self.sessions.in_flight_txns() == 0 and self._executing == 0:
-                return
-            await asyncio.sleep(0.02)
-        for session in list(self.sessions):
-            if session.txns:
-                self.sessions.stats.drain_aborts += len(session.txns)
-                writer = self._writers.pop(session.session_id, None)
-                if writer is not None:
-                    writer.close()
-                await self._abort_orphans(self.sessions.close(session))
-
-    def run(self) -> int:
-        """Foreground serve loop (``repro cluster start``)."""
-        async def main() -> None:
-            await self.start()
-            loop = asyncio.get_running_loop()
-            for signum in (signal.SIGINT, signal.SIGTERM):
-                with contextlib.suppress(NotImplementedError):
-                    loop.add_signal_handler(signum, self.request_stop)
-            host, port = self.address  # type: ignore[misc]
-            print(f"repro cluster router listening on {host}:{port} "
-                  f"({len(self.shard_addrs)} shards)", flush=True)
-            await self.serve_until_stopped()
-
-        asyncio.run(main())
-        return 0
-
-    def start_in_background(self) -> tuple[str, int]:
-        """Serve from a dedicated thread; returns the bound address."""
-        ready = threading.Event()
-        failure: list[BaseException] = []
-
-        def runner() -> None:
-            async def main() -> None:
-                await self.start()
-                ready.set()
-                await self.serve_until_stopped()
-            try:
-                asyncio.run(main())
-            except BaseException as exc:
-                failure.append(exc)
-            finally:
-                ready.set()
-
-        self._thread = threading.Thread(target=runner, name="repro-router",
-                                        daemon=True)
-        self._thread.start()
-        if not ready.wait(timeout=10.0):
-            raise TimeoutError("router did not start within 10s")
-        if failure:
-            raise failure[0]
-        assert self.address is not None
-        return self.address
-
-    def stop_in_background(self, timeout: float = 10.0) -> None:
-        """Stop a background router and join its thread."""
-        if self._thread is None:
-            return
-        if self._loop is not None and not self._loop.is_closed():
-            with contextlib.suppress(RuntimeError):
-                self._loop.call_soon_threadsafe(self.request_stop)
-        self._thread.join(timeout)
-        self._thread = None
-
-    # -- connection handling (mirrors DatabaseServer) ------------------------
-
-    async def _handle(self, reader: asyncio.StreamReader,
-                      writer: asyncio.StreamWriter) -> None:
-        task = asyncio.current_task()
-        if task is not None:
-            self._handler_tasks.add(task)
-        if self._draining:
-            await self._refuse_connection(reader, writer)
-            if task is not None:
-                self._handler_tasks.discard(task)
-            return
-        peer = writer.get_extra_info("peername")
-        session = self.sessions.open(str(peer), time.monotonic())
-        self._writers[session.session_id] = writer
-        try:
-            await self._serve_connection(session, reader, writer)
-        except (ConnectionError, asyncio.IncompleteReadError):
-            pass
-        finally:
-            self._writers.pop(session.session_id, None)
-            await self._abort_orphans(self.sessions.close(session))
-            writer.close()
-            with contextlib.suppress(ConnectionError, OSError):
-                await writer.wait_closed()
-            if task is not None:
-                self._handler_tasks.discard(task)
-
-    async def _refuse_connection(self, reader: asyncio.StreamReader,
-                                 writer: asyncio.StreamWriter) -> None:
-        self.sessions.stats.drain_refused += 1
-        request_id = 0
-        with contextlib.suppress(ConnectionError, ProtocolError,
-                                 asyncio.IncompleteReadError,
-                                 asyncio.TimeoutError):
-            payload = await asyncio.wait_for(self._read_frame(reader),
-                                             timeout=1.0)
-            if payload is not None:
-                request_id = decode_request(payload)[0]
-        with contextlib.suppress(ConnectionError, OSError):
-            writer.write(encode_response(request_id, Status.SHUTTING_DOWN,
-                                         "router is draining"))
-            await writer.drain()
-        writer.close()
-        with contextlib.suppress(ConnectionError, OSError):
-            await writer.wait_closed()
-
-    async def _serve_connection(self, session: Session,
-                                reader: asyncio.StreamReader,
-                                writer: asyncio.StreamWriter) -> None:
-        while not self._closing:
-            payload = await self._read_frame(reader)
-            if payload is None:
-                return
-            now = time.monotonic()
-            try:
-                request_id, command, args, deadline_ms = (
-                    decode_request(payload))
-            except ProtocolError as exc:
-                writer.write(encode_response(0, Status.BAD_REQUEST,
-                                             error_payload(exc)))
-                await writer.drain()
-                return
-            session.deadline = (None if deadline_ms is None
-                                else now + deadline_ms / 1000.0)
-            session.begin_command(now)
-            try:
-                status, result = await self._execute(session, command, args)
-            finally:
-                session.end_command(time.monotonic())
-                session.deadline = None
-            writer.write(encode_response(request_id, status, result))
-            await writer.drain()
-            if command == Command.SHUTDOWN and status == Status.OK:
-                self.request_stop()
-                return
-            if self._draining and not session.txns:
-                return
-
-    @staticmethod
-    async def _read_frame(reader: asyncio.StreamReader) -> bytes | None:
-        try:
-            header = await reader.readexactly(4)
-        except asyncio.IncompleteReadError as exc:
-            if not exc.partial:
-                return None
-            raise
-        return await reader.readexactly(frame_length(header))
-
-    async def _execute(self, session: Session, command: int,
-                       args: tuple) -> tuple[Status, object]:
-        handler = self._handlers.get(command)
-        if handler is None:
-            return Status.BAD_REQUEST, f"unknown command {command}"
-        if (session.deadline is not None
-                and time.monotonic() >= session.deadline):
-            return (Status.DEADLINE_EXCEEDED,
-                    f"{Command(command).name}: deadline passed on arrival")
-        if self._draining and command not in _DRAIN_ALLOWED:
-            owned = (args and isinstance(args[0], int)
-                     and not isinstance(args[0], bool)
-                     and args[0] in session.txns)
-            if not owned:
-                return Status.SHUTTING_DOWN, "router is draining"
-        name = Command(command).name
-        counter = self._commands.setdefault(name, _CommandCounter())
-        counter.calls += 1
-        started = time.monotonic()
-        try:
-            result = await handler(session, args)
-        except asyncio.CancelledError:
-            raise
-        except BaseException as exc:
-            counter.errors += 1
-            return status_for_exception(exc), error_payload(exc)
-        else:
-            counter.ok += 1
-            return Status.OK, result
-        finally:
-            wall = time.monotonic() - started
-            counter.total_wall += wall
-            counter.max_wall = max(counter.max_wall, wall)
-
-    async def _run(self, fn):
-        """Run a blocking shard-RPC job on the executor."""
-        assert self._loop is not None
-        self._executing += 1
-        try:
-            return await self._loop.run_in_executor(self._executor, fn)
-        finally:
-            self._executing -= 1
+    def _banner(self) -> str:
+        host, port = self.address  # type: ignore[misc]
+        return (f"repro cluster router listening on {host}:{port} "
+                f"({len(self.shard_addrs)} shards)")
 
     async def _abort_orphans(self, orphans: list) -> None:
         for gtxn in orphans:
             if gtxn.phase != "active":
                 continue
             with contextlib.suppress(Exception):
-                await self._run(lambda g=gtxn: self._abort_job(g))
+                await self.dispatch.run(
+                    "ABORT_ORPHAN", lambda g=gtxn: self._abort_job(g),
+                    exempt=True)
                 self.sessions.stats.orphans_aborted += 1
-
-    async def _reaper(self) -> None:
-        interval = self.config.reaper_interval_sec
-        if self.config.idle_timeout_sec > 0:
-            interval = min(interval, self.config.idle_timeout_sec / 4)
-        interval = max(interval, 0.02)
-        while True:
-            await asyncio.sleep(interval)
-            now = time.monotonic()
-            for session in self.sessions.idle_sessions(now):
-                self.sessions.stats.idle_closed += 1
-                await self._abort_orphans(self.sessions.close(session))
-                writer = self._writers.pop(session.session_id, None)
-                if writer is not None:
-                    writer.close()
 
     # -- cluster-wide read timestamp -----------------------------------------
 
@@ -787,11 +474,6 @@ class ClusterRouter:
         self._fates[gtxn.txid] = fate
         self._open.pop(gtxn.txid, None)
         self._release_conns(gtxn)
-
-    def _claim_gtxn(self, session: Session, txid: object) -> GlobalTxn:
-        if not isinstance(txid, int) or isinstance(txid, bool):
-            raise ProtocolError(f"expected txid, got {txid!r}")
-        return session.claim(txid)
 
     @staticmethod
     def _as_gvid(ref: object) -> int:
@@ -1115,19 +797,6 @@ class ClusterRouter:
 
     # -- monitoring ----------------------------------------------------------
 
-    def command_stats(self) -> tuple:
-        """Per-command counters in :mod:`repro.db.monitor` shape."""
-        from repro.db.monitor import CommandStat
-
-        out = []
-        for name, c in sorted(self._commands.items()):
-            mean = c.total_wall / c.calls if c.calls else 0.0
-            out.append(CommandStat(
-                command=name, calls=c.calls, ok=c.ok, errors=c.errors,
-                shed=0, mean_wall_usec=round(mean * 1e6, 1),
-                max_wall_usec=round(c.max_wall * 1e6, 1)))
-        return tuple(out)
-
     def cluster_payload(self) -> dict:
         """The ``cluster`` section of STATS / SNAPSHOT responses."""
         with self._snap_mu:
@@ -1176,13 +845,7 @@ class ClusterRouter:
     def stats_payload(self) -> dict:
         """The STATS command's response body (router edition)."""
         return {
-            "uptime_sec": round(time.monotonic() - self._started_monotonic,
-                                3),
-            "in_flight": self._executing,
-            "draining": self._draining,
-            "sessions": {"live": self.sessions.count(),
-                         "in_flight_txns": self.sessions.in_flight_txns(),
-                         **self.sessions.stats.as_dict()},
+            **super().stats_payload(),
             "router": self.stats.as_dict(),
             "cluster": self.cluster_payload(),
             "coordinator": {
@@ -1193,27 +856,23 @@ class ClusterRouter:
 
     # -- command handlers ----------------------------------------------------
 
-    async def _cmd_ping(self, _session: Session, args: tuple) -> str:
+    def _each_shard(self, command: Command, *args: object) -> list:
+        """One non-transactional call per shard, in shard order."""
+        return [self.pool.call(command, *args, endpoint=shard)
+                for shard in range(len(self.shard_addrs))]
+
+    async def _cmd_ping(self, session: Session, args: tuple) -> str:
+        arity(args, 0)
+
         def work() -> str:
-            for shard in range(len(self.shard_addrs)):
-                self.pool.call(Command.PING, endpoint=shard)
+            self._each_shard(Command.PING)
             return "pong"
-        return await self._run(work)
+        return await self._run(session, Command.PING, work)
 
     async def _cmd_begin(self, session: Session, args: tuple) -> int:
-        if len(args) == 1:
-            (serializable,) = args
-            at_ts = None
-        elif len(args) == 2:
-            serializable, at_ts = args
-            if at_ts is not None and (isinstance(at_ts, bool)
-                                      or not isinstance(at_ts, int)):
-                raise ProtocolError(f"expected at_ts, got {at_ts!r}")
-        else:
-            raise ProtocolError(
-                f"BEGIN expects 1 or 2 argument(s), got {len(args)}")
+        serializable, at_ts = begin_args(args)
         if serializable:
-            # Satellite: never silently downgrade SSI to SI.  Cross-shard
+            # Never silently downgrade SSI to SI.  Cross-shard
             # rw-antidependency tracking would need the shards to exchange
             # SIREAD locks; until that exists the honest answer is a typed
             # wire error the client sees immediately at BEGIN.
@@ -1226,8 +885,9 @@ class ClusterRouter:
         if at_ts is None and not self.config.per_shard_snapshots:
             at_ts = self._cached_snapshot_ts()
             if at_ts is None:
-                at_ts = await self._run(self._refresh_snapshot_ts)
-        gtxn = GlobalTxn(self._allocate_gtxid(), bool(serializable),
+                at_ts = await self._run(session, Command.BEGIN,
+                                        self._refresh_snapshot_ts)
+        gtxn = GlobalTxn(self._allocate_gtxid(), serializable,
                          read_ts=at_ts)
         if at_ts is not None:
             self.stats.begins_at_ts += 1
@@ -1237,33 +897,36 @@ class ClusterRouter:
         return gtxn.txid
 
     async def _cmd_commit(self, session: Session, args: tuple) -> None:
-        (txid,) = args
-        gtxn = self._claim_gtxn(session, txid)
+        (txid,) = arity(args, 1)
+        gtxn = claim(session, txid)
         try:
-            await self._run(lambda: self._commit_job(gtxn))
+            await self._run(session, Command.COMMIT,
+                            lambda: self._commit_job(gtxn))
         finally:
             if gtxn.phase != "active":
                 session.forget(gtxn.txid)
 
     async def _cmd_abort(self, session: Session, args: tuple) -> None:
-        (txid,) = args
-        gtxn = self._claim_gtxn(session, txid)
+        (txid,) = arity(args, 1)
+        gtxn = claim(session, txid)
         try:
-            await self._run(lambda: self._abort_job(gtxn))
+            await self._run(session, Command.ABORT,
+                            lambda: self._abort_job(gtxn))
         finally:
             if gtxn.phase != "active":
                 session.forget(gtxn.txid)
 
-    async def _cmd_create_table(self, _session: Session,
+    async def _cmd_create_table(self, session: Session,
                                 args: tuple) -> None:
-        def work() -> None:
-            for shard in range(len(self.shard_addrs)):
-                self.pool.call(Command.CREATE_TABLE, *args, endpoint=shard)
-        return await self._run(work)
+        arity(args, 3)
+        await self._run(session, Command.CREATE_TABLE,
+                        lambda: self._each_shard(Command.CREATE_TABLE,
+                                                 *args))
 
     async def _cmd_insert(self, session: Session, args: tuple) -> int:
-        txid, table, row = args
-        gtxn = self._claim_gtxn(session, txid)
+        txid, table, row = arity(args, 3)
+        gtxn = claim(session, txid)
+        table, row = as_str(table), as_row(row)
 
         def work() -> int:
             shard = self.shard_map.place()
@@ -1272,12 +935,13 @@ class ClusterRouter:
                                      table, row)
             st.writes += 1
             return self.shard_map.to_global(shard, self._as_gvid(lvid))
-        return await self._run(work)
+        return await self._run(session, Command.INSERT, work)
 
     async def _cmd_bulk_insert(self, session: Session,
                                args: tuple) -> tuple:
-        txid, table, rows = args
-        gtxn = self._claim_gtxn(session, txid)
+        txid, table, rows = arity(args, 3)
+        gtxn = claim(session, txid)
+        table, rows = as_str(table), tuple(as_rows(rows))
 
         def work() -> tuple:
             shard = self.shard_map.place()
@@ -1287,7 +951,7 @@ class ClusterRouter:
             st.writes += len(lvids)
             return tuple(self.shard_map.to_global(shard, self._as_gvid(v))
                          for v in lvids)
-        return await self._run(work)
+        return await self._run(session, Command.BULK_INSERT, work)
 
     def _routed_call(self, gtxn: GlobalTxn, ref: object, command: Command,
                      *args_after_ref: object,
@@ -1301,35 +965,38 @@ class ClusterRouter:
         return shard, result
 
     async def _cmd_read(self, session: Session, args: tuple) -> object:
-        txid, table, ref = args
-        gtxn = self._claim_gtxn(session, txid)
+        txid, table, ref = arity(args, 3)
+        gtxn = claim(session, txid)
+        table, ref = as_str(table), self._as_gvid(ref)
 
         def work() -> object:
             _shard, row = self._routed_call(gtxn, ref, Command.READ,
                                             before_ref=(table,))
             return row
-        return await self._run(work)
+        return await self._run(session, Command.READ, work)
 
     async def _cmd_update(self, session: Session, args: tuple) -> int:
-        txid, table, ref, row = args
-        gtxn = self._claim_gtxn(session, txid)
+        txid, table, ref, row = arity(args, 4)
+        gtxn = claim(session, txid)
+        table, ref, row = as_str(table), self._as_gvid(ref), as_row(row)
 
         def work() -> int:
             shard, lref = self._routed_call(gtxn, ref, Command.UPDATE, row,
                                             before_ref=(table,))
             gtxn.shards[shard].writes += 1
             return self.shard_map.to_global(shard, self._as_gvid(lref))
-        return await self._run(work)
+        return await self._run(session, Command.UPDATE, work)
 
     async def _cmd_delete(self, session: Session, args: tuple) -> None:
-        txid, table, ref = args
-        gtxn = self._claim_gtxn(session, txid)
+        txid, table, ref = arity(args, 3)
+        gtxn = claim(session, txid)
+        table, ref = as_str(table), self._as_gvid(ref)
 
         def work() -> None:
             shard, _none = self._routed_call(gtxn, ref, Command.DELETE,
                                              before_ref=(table,))
             gtxn.shards[shard].writes += 1
-        return await self._run(work)
+        return await self._run(session, Command.DELETE, work)
 
     def _fanout_pairs(self, gtxn: GlobalTxn, command: Command,
                       *args: object) -> tuple:
@@ -1350,42 +1017,50 @@ class ClusterRouter:
         return tuple(merged)
 
     async def _cmd_lookup(self, session: Session, args: tuple) -> tuple:
-        txid, table, index, key = args
-        gtxn = self._claim_gtxn(session, txid)
+        txid, table, index, key = arity(args, 4)
+        gtxn = claim(session, txid)
+        table, index = as_str(table), as_str(index)
         return await self._run(
+            session, Command.LOOKUP,
             lambda: self._fanout_pairs(gtxn, Command.LOOKUP, table, index,
                                        key))
 
     async def _cmd_range_lookup(self, session: Session,
                                 args: tuple) -> tuple:
-        txid, table, index, lo, hi = args
-        gtxn = self._claim_gtxn(session, txid)
+        txid, table, index, lo, hi = arity(args, 5)
+        gtxn = claim(session, txid)
+        table, index = as_str(table), as_str(index)
         return await self._run(
+            session, Command.RANGE_LOOKUP,
             lambda: self._fanout_pairs(gtxn, Command.RANGE_LOOKUP, table,
                                        index, lo, hi))
 
     async def _cmd_scan(self, session: Session, args: tuple) -> tuple:
-        txid, table = args
-        gtxn = self._claim_gtxn(session, txid)
+        txid, table = arity(args, 2)
+        gtxn = claim(session, txid)
+        table = as_str(table)
         return await self._run(
+            session, Command.SCAN,
             lambda: self._fanout_pairs(gtxn, Command.SCAN, table))
 
     async def _cmd_scan_batch(self, session: Session, args: tuple) -> tuple:
-        txid, table, columns, where, after, limit = args
-        gtxn = self._claim_gtxn(session, txid)
+        txid, table, columns, where, after, limit = arity(args, 6)
+        gtxn = claim(session, txid)
+        table, where = as_str(table), as_predicate(where)
+        limit = as_int(limit, "limit")
+        # The wire cursor is opaque to clients (passed back verbatim), so
+        # the router nests the shard's own cursor in a (shard,
+        # local_cursor) pair and streams shards in order.
+        if after is None:
+            shard, local_after = 0, None
+        elif (isinstance(after, tuple) and len(after) == 2
+                and isinstance(after[0], int)
+                and 0 <= after[0] < len(self.shard_addrs)):
+            shard, local_after = after
+        else:
+            raise ProtocolError(f"bad cluster scan cursor: {after!r}")
 
         def work() -> tuple:
-            # The wire cursor is opaque to clients (passed back verbatim),
-            # so the router nests the shard's own cursor in a
-            # (shard, local_cursor) pair and streams shards in order.
-            if after is None:
-                shard, local_after = 0, None
-            elif (isinstance(after, tuple) and len(after) == 2
-                    and isinstance(after[0], int)
-                    and 0 <= after[0] < len(self.shard_addrs)):
-                shard, local_after = after
-            else:
-                raise ProtocolError(f"bad cluster scan cursor: {after!r}")
             st = self._shard_txn(gtxn, shard)
             rows, local_cursor = self.pool.request(
                 st.conn, Command.SCAN_BATCH, st.ltxid, table, columns,
@@ -1396,12 +1071,14 @@ class ClusterRouter:
             if shard + 1 < len(self.shard_addrs):
                 return translated, (shard + 1, None)
             return translated, None
-        return await self._run(work)
+        return await self._run(session, Command.SCAN_BATCH, work)
 
     async def _cmd_aggregate(self, session: Session,
                              args: tuple) -> object:
-        txid, table, op, column, where = args
-        gtxn = self._claim_gtxn(session, txid)
+        txid, table, op, column, where = arity(args, 5)
+        gtxn = claim(session, txid)
+        table, where = as_str(table), as_predicate(where)
+        op = as_str(op, "aggregate op")
 
         def work() -> object:
             started = time.monotonic()
@@ -1425,12 +1102,13 @@ class ClusterRouter:
             if op == "max":
                 return max(seen)
             raise ProtocolError(f"unknown aggregate op {op!r}")
-        return await self._run(work)
+        return await self._run(session, Command.AGGREGATE, work)
 
     async def _cmd_scan_vid_range(self, session: Session,
                                   args: tuple) -> tuple:
-        txid, table, lo, hi = args
-        gtxn = self._claim_gtxn(session, txid)
+        txid, table, lo, hi = arity(args, 4)
+        gtxn = claim(session, txid)
+        table, lo, hi = as_str(table), as_int(lo), as_int(hi)
 
         def work() -> tuple:
             started = time.monotonic()
@@ -1444,32 +1122,32 @@ class ClusterRouter:
             self.stats.note_fanout(Command.SCAN_VID_RANGE.name,
                                    time.monotonic() - started)
             return tuple(merged)
-        return await self._run(work)
+        return await self._run(session, Command.SCAN_VID_RANGE, work)
 
-    async def _cmd_tick(self, _session: Session, args: tuple) -> None:
-        def work() -> None:
-            for shard in range(len(self.shard_addrs)):
-                self.pool.call(Command.TICK, endpoint=shard)
-        return await self._run(work)
+    async def _cmd_tick(self, session: Session, args: tuple) -> None:
+        arity(args, 0)
+        await self._run(session, Command.TICK,
+                        lambda: self._each_shard(Command.TICK))
 
-    async def _cmd_maintenance(self, _session: Session,
-                               args: tuple) -> dict:
+    async def _cmd_maintenance(self, session: Session, args: tuple) -> dict:
+        arity(args, 0)
+
         def work() -> dict:
             merged: dict[str, dict[str, int]] = {}
-            for shard in range(len(self.shard_addrs)):
-                report = self.pool.call(Command.MAINTENANCE, endpoint=shard)
+            for report in self._each_shard(Command.MAINTENANCE):
                 for table, summary in report.items():
                     into = merged.setdefault(table, {})
                     for key, value in summary.items():
                         into[key] = into.get(key, 0) + int(value)
             return merged
-        return await self._run(work)
+        return await self._run(session, Command.MAINTENANCE, work)
 
-    async def _cmd_snapshot(self, _session: Session, args: tuple) -> dict:
+    async def _cmd_snapshot(self, session: Session, args: tuple) -> dict:
+        arity(args, 0)
+
         def work() -> dict:
             merged: dict | None = None
-            for shard in range(len(self.shard_addrs)):
-                snap = self.pool.call(Command.SNAPSHOT, endpoint=shard)
+            for shard, snap in enumerate(self._each_shard(Command.SNAPSHOT)):
                 if merged is None:
                     merged = dict(snap)
                     merged["tables"] = []
@@ -1495,42 +1173,38 @@ class ClusterRouter:
                 dataclasses.asdict(cs) for cs in self.command_stats())
             merged["cluster"] = self.cluster_payload()
             return merged
-        return await self._run(work)
+        return await self._run(session, Command.SNAPSHOT, work)
 
-    async def _cmd_stats(self, _session: Session, args: tuple) -> dict:
-        return await self._run(self.stats_payload)
+    async def _cmd_stats(self, session: Session, args: tuple) -> dict:
+        arity(args, 0)
+        return await self._run(session, Command.STATS, self.stats_payload)
 
-    async def _cmd_clock_now(self, _session: Session, args: tuple) -> int:
-        def work() -> int:
-            return max(self.pool.call(Command.CLOCK_NOW, endpoint=s)
-                       for s in range(len(self.shard_addrs)))
-        return await self._run(work)
+    async def _cmd_clock_now(self, session: Session, args: tuple) -> int:
+        arity(args, 0)
+        return await self._run(
+            session, Command.CLOCK_NOW,
+            lambda: max(self._each_shard(Command.CLOCK_NOW)))
 
-    async def _cmd_clock_advance(self, _session: Session,
+    async def _cmd_clock_advance(self, session: Session,
                                  args: tuple) -> int:
-        (usec,) = args
+        (usec,) = arity(args, 1)
+        delta = as_int(usec, "microseconds")
+        return await self._run(
+            session, Command.CLOCK_ADVANCE,
+            lambda: max(self._each_shard(Command.CLOCK_ADVANCE, delta)))
 
-        def work() -> int:
-            return max(self.pool.call(Command.CLOCK_ADVANCE, usec,
-                                      endpoint=s)
-                       for s in range(len(self.shard_addrs)))
-        return await self._run(work)
-
-    async def _cmd_clock_advance_to(self, _session: Session,
+    async def _cmd_clock_advance_to(self, session: Session,
                                     args: tuple) -> int:
-        (usec,) = args
+        (usec,) = arity(args, 1)
+        target = as_int(usec, "microseconds")
+        return await self._run(
+            session, Command.CLOCK_ADVANCE_TO,
+            lambda: max(self._each_shard(Command.CLOCK_ADVANCE_TO, target)))
 
-        def work() -> int:
-            return max(self.pool.call(Command.CLOCK_ADVANCE_TO, usec,
-                                      endpoint=s)
-                       for s in range(len(self.shard_addrs)))
-        return await self._run(work)
-
-    async def _cmd_txn_status(self, _session: Session, args: tuple) -> str:
+    async def _cmd_txn_status(self, session: Session, args: tuple) -> str:
         """The fate of a *global* txid, with presumed-abort semantics."""
-        (gtxid,) = args
-        if not isinstance(gtxid, int) or isinstance(gtxid, bool):
-            raise ProtocolError(f"expected txid, got {gtxid!r}")
+        (txid,) = arity(args, 1)
+        gtxid = as_int(txid, "txid")
 
         def work() -> str:
             fate = self._fates.get(gtxid)
@@ -1548,9 +1222,9 @@ class ClusterRouter:
                 # no decision logged for an allocated gtxid: presumed abort
                 return "aborted"
             return "unknown"
-        return await self._run(work)
+        return await self._run(session, Command.TXN_STATUS, work)
 
-    async def _cmd_closed_ts(self, _session: Session, args: tuple) -> int:
+    async def _cmd_closed_ts(self, session: Session, args: tuple) -> int:
         """Cluster edition of CLOSED_TS: the global read timestamp.
 
         With no operand, refreshes (if stale) and returns the cluster-wide
@@ -1560,20 +1234,16 @@ class ClusterRouter:
         timestamp domain with another's.
         """
         if args:
-            (target,) = args
-            if isinstance(target, bool) or not isinstance(target, int):
-                raise ProtocolError(f"expected timestamp, got {target!r}")
+            (raw,) = arity(args, 1)
+            target = as_int(raw, "timestamp")
 
             def ratchet() -> int:
-                for shard in range(len(self.shard_addrs)):
-                    self.pool.call(Command.CLOSED_TS, target, endpoint=shard)
+                self._each_shard(Command.CLOSED_TS, target)
                 self._invalidate_snapshot_ts()
                 return self._refresh_snapshot_ts()
-            return await self._run(ratchet)
+            return await self._run(session, Command.CLOSED_TS, ratchet)
         ts = self._cached_snapshot_ts()
         if ts is None:
-            ts = await self._run(self._refresh_snapshot_ts)
+            ts = await self._run(session, Command.CLOSED_TS,
+                                 self._refresh_snapshot_ts)
         return ts
-
-    async def _cmd_shutdown(self, _session: Session, args: tuple) -> None:
-        return None

@@ -10,6 +10,7 @@ raw dataclass is stable API for dashboards and tests.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from repro.baseline.engine import SiEngine
 from repro.common import units
@@ -18,6 +19,9 @@ from repro.db.database import Database
 from repro.experiments.render import format_table
 from repro.storage.flash import FlashDevice
 from repro.storage.noftl import NoFtlFlashDevice
+
+if TYPE_CHECKING:
+    from repro.server.shell import WireServer
 
 
 @dataclass(frozen=True)
@@ -194,14 +198,13 @@ class SystemSnapshot:
         return out
 
 
-def snapshot(db: Database, server: object | None = None,
+def snapshot(db: Database, server: WireServer | None = None,
              client: object | None = None) -> SystemSnapshot:
     """Collect a :class:`SystemSnapshot` from a live database.
 
-    ``server`` (anything with a ``command_stats()`` returning a tuple of
-    :class:`CommandStat`, e.g. :class:`repro.server.DatabaseServer`) adds
-    the service layer's per-command counters and resilience counters to
-    the snapshot.  ``client`` (anything with a ``pool`` carrying a
+    ``server`` (a wire endpoint, e.g. :class:`repro.server.DatabaseServer`)
+    adds the service layer's per-command counters and resilience counters
+    to the snapshot.  ``client`` (anything with a ``pool`` carrying a
     ``breaker`` and ``stats``, e.g. :class:`repro.client.RemoteDatabase`)
     adds the client-side view: circuit-breaker state and commits whose
     acknowledgement was lost.
@@ -265,20 +268,15 @@ def snapshot(db: Database, server: object | None = None,
         lock_waits=db.txn_mgr.locks.stats.waits,
         lock_wait_timeouts=db.txn_mgr.locks.stats.wait_timeouts,
         tables=tuple(tables),
-        commands=(server.command_stats()  # type: ignore[attr-defined]
-                  if server is not None else ()),
-        deadline_rejections=(
-            server.dispatch.stats.deadline_rejected  # type: ignore[attr-defined]
-            if server is not None else 0),
-        deadline_shed=(
-            server.dispatch.stats.deadline_shed  # type: ignore[attr-defined]
-            if server is not None else 0),
-        drain_aborts=(
-            server.sessions.stats.drain_aborts  # type: ignore[attr-defined]
-            if server is not None else 0),
-        drain_refused=(
-            server.sessions.stats.drain_refused  # type: ignore[attr-defined]
-            if server is not None else 0),
+        commands=server.command_stats() if server is not None else (),
+        deadline_rejections=(server.dispatch.stats.deadline_rejected
+                             if server is not None else 0),
+        deadline_shed=(server.dispatch.stats.deadline_shed
+                       if server is not None else 0),
+        drain_aborts=(server.sessions.stats.drain_aborts
+                      if server is not None else 0),
+        drain_refused=(server.sessions.stats.drain_refused
+                       if server is not None else 0),
         breaker_state=(
             client.pool.breaker.state.value  # type: ignore[attr-defined]
             if client is not None else ""),

@@ -24,6 +24,7 @@ from repro.server.dispatch import Dispatcher
 from repro.server.protocol import Command, Status
 from repro.server.server import DatabaseServer, ServerConfig
 from repro.server.session import Session, SessionManager
+from repro.server.shell import WireServer
 
 __all__ = [
     "ChaosConfig",
@@ -37,4 +38,5 @@ __all__ = [
     "Session",
     "SessionManager",
     "Status",
+    "WireServer",
 ]

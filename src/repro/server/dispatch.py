@@ -1,4 +1,4 @@
-"""Executor offload with admission control and per-command telemetry.
+"""Executor offload with admission control, plus the per-command counters.
 
 The storage engine underneath :class:`~repro.db.database.Database` is
 synchronous; since the core latching work (txn mutex, per-frame buffer
@@ -56,7 +56,12 @@ def default_executor_workers() -> int:
 
 @dataclass
 class CommandCounter:
-    """Latency / throughput / shedding counters for one command."""
+    """Latency / throughput / shedding counters for one command.
+
+    :class:`~repro.server.shell.WireServer` counts calls, outcomes and
+    wall time around each handler; the :class:`Dispatcher` counts the
+    sheds it decides.
+    """
 
     calls: int = 0
     ok: int = 0
@@ -66,7 +71,7 @@ class CommandCounter:
     max_wall_sec: float = 0.0
 
     def observe(self, elapsed_sec: float) -> None:
-        """Record one completed (admitted) call."""
+        """Record one completed call."""
         self.calls += 1
         self.total_wall_sec += elapsed_sec
         if elapsed_sec > self.max_wall_sec:
@@ -74,7 +79,7 @@ class CommandCounter:
 
     @property
     def mean_wall_sec(self) -> float:
-        """Mean wall-clock latency of admitted calls."""
+        """Mean wall-clock latency of completed calls."""
         return self.total_wall_sec / self.calls if self.calls else 0.0
 
     def as_dict(self) -> dict[str, float]:
@@ -179,14 +184,13 @@ class Dispatcher:
         """
         if self._closed:
             raise OverloadedError("dispatcher is shut down")
-        counter = self.stats.of(name)
         if deadline is not None and time.monotonic() >= deadline:
             self.stats.deadline_rejected += 1
             raise DeadlineExceededError(
                 f"{name}: deadline passed before dispatch")
         if (not exempt and self._sem.locked()
                 and self._waiting >= self.max_queue_depth):
-            counter.shed += 1
+            self.stats.of(name).shed += 1
             self.stats.shed_total += 1
             raise OverloadedError(
                 f"{name}: {self._executing} in flight, {self._waiting} "
@@ -213,17 +217,11 @@ class Dispatcher:
                 self.stats.exclusive_runs += 1
             try:
                 loop = asyncio.get_running_loop()
-                result = await loop.run_in_executor(self._executor, fn)
-                counter.ok += 1
-                return result
-            except Exception:
-                counter.errors += 1
-                raise
+                return await loop.run_in_executor(self._executor, fn)
             finally:
                 self._leave_gate(exclusive)
         finally:
             self._sem.release()
-            counter.observe(time.monotonic() - start)
 
     async def _enter_gate(self, exclusive: bool) -> None:
         if exclusive:

@@ -95,13 +95,18 @@ ACCOUNTS = Schema.of(("id", ColType.INT), ("owner", ColType.STR),
                      ("balance", ColType.FLOAT))
 
 
-def make_accounts_db(kind: EngineKind, **kwargs) -> Database:
-    """A flash database with one indexed 'accounts' table."""
-    db = Database.on_flash(kind, small_system_config(**kwargs))
+def create_accounts_table(db: Database) -> None:
+    """The indexed 'accounts' table every service-level test uses."""
     db.create_table("accounts", ACCOUNTS, indexes=[
         IndexDef("pk", ("id",), unique=True),
         IndexDef("by_owner", ("owner",)),
     ])
+
+
+def make_accounts_db(kind: EngineKind, **kwargs) -> Database:
+    """A flash database with one indexed 'accounts' table."""
+    db = Database.on_flash(kind, small_system_config(**kwargs))
+    create_accounts_table(db)
     return db
 
 
@@ -122,3 +127,78 @@ def sias_db() -> Database:
 def si_db() -> Database:
     """A baseline SI accounts database."""
     return make_accounts_db(EngineKind.SI)
+
+
+class ShardedDatabase:
+    """The engine-side view of a router's shards, for endpoint tests.
+
+    Offers the slice of the :class:`Database` surface the shell tests
+    assert on — transaction counters summed over every shard, and a
+    ``begin``/``scan``/``commit`` that reads each shard's own engine —
+    so one assertion holds for a node and for a router alike.
+    """
+
+    def __init__(self, dbs: list[Database]) -> None:
+        self.dbs = dbs
+        # tests read ``db.txn_mgr.active_count()``: the summed count below
+        # stands in for one transaction manager
+        self.txn_mgr = self
+
+    def active_count(self) -> int:
+        return sum(db.txn_mgr.active_count() for db in self.dbs)
+
+    def begin(self) -> list:
+        return [db.begin() for db in self.dbs]
+
+    def scan(self, txns: list, table: str):
+        for db, txn in zip(self.dbs, txns):
+            yield from db.scan(txn, table)
+
+    def commit(self, txns: list) -> None:
+        for db, txn in zip(self.dbs, txns):
+            db.commit(txn)
+
+
+@pytest.fixture(params=["node", "router"])
+def endpoint(request):
+    """Factory for one served wire endpoint, run once per shell user.
+
+    ``endpoint(**config)`` starts the endpoint in the background and
+    returns ``(db, server, host, port)``.  ``node`` is a
+    :class:`DatabaseServer` over a SIAS-V accounts database; ``router``
+    is a :class:`ClusterRouter` over two thread-mode shards, each holding
+    an empty accounts table, with ``db`` a :class:`ShardedDatabase` over
+    them.  ``config`` goes to ``ServerConfig`` or ``RouterConfig``.
+    Everything started is stopped at teardown.
+    """
+    from repro.cluster import (ClusterRouter, RouterConfig, ShardSupervisor,
+                               SupervisorConfig)
+    from repro.server import DatabaseServer, ServerConfig
+
+    running: list = []
+
+    def start(**config):
+        if request.param == "node":
+            db = make_accounts_db(EngineKind.SIASV)
+            server = DatabaseServer(db, ServerConfig(port=0, **config))
+        else:
+            shards = ShardSupervisor(SupervisorConfig(
+                shards=2, idle_timeout_sec=30.0, drain_timeout_sec=2.0))
+            running.append(shards)
+            shards.start()
+            dbs = [shards.database(i) for i in range(2)]
+            for shard_db in dbs:
+                create_accounts_table(shard_db)
+            db = ShardedDatabase(dbs)
+            server = ClusterRouter(shards.addresses,
+                                   RouterConfig(port=0, **config))
+        running.append(server)
+        host, port = server.start_in_background()
+        return db, server, host, port
+
+    yield start
+    for thing in reversed(running):
+        if isinstance(thing, ShardSupervisor):
+            thing.stop()
+        else:
+            thing.stop_in_background()

@@ -252,8 +252,8 @@ class TestCircuitBreaker:
 # ---------------------------------------------------------------------------
 
 class TestDeadlines:
-    def test_expired_deadline_rejected_before_execution(self):
-        _db, server, host, port = _serve()
+    def test_expired_deadline_rejected_before_execution(self, endpoint):
+        _db, server, host, port = endpoint()
         try:
             with ClientConnection(host, port) as conn:
                 with pytest.raises(DeadlineExceededError):
@@ -281,8 +281,8 @@ class TestDeadlines:
             remote.pool.request(
                 ClientConnection("127.0.0.1", 1), Command.PING)
 
-    def test_deadline_counters_in_stats_payload(self):
-        _db, server, host, port = _serve()
+    def test_deadline_counters_in_stats_payload(self, endpoint):
+        _db, server, host, port = endpoint()
         try:
             with ClientConnection(host, port) as conn:
                 with pytest.raises(DeadlineExceededError):
@@ -300,8 +300,8 @@ class TestDeadlines:
 # ---------------------------------------------------------------------------
 
 class TestGracefulDrain:
-    def test_draining_refuses_new_sessions_but_finishes_txns(self):
-        db, server, host, port = _serve(drain_timeout_sec=5.0)
+    def test_draining_refuses_new_sessions_but_finishes_txns(self, endpoint):
+        db, server, host, port = endpoint(drain_timeout_sec=5.0)
         worker = RemoteDatabase(host, port)
         txn = worker.begin()
         ref = worker.insert(txn, "accounts", (1, "alice", 10.0))

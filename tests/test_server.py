@@ -181,8 +181,8 @@ class TestBasicService:
                 thief.request(Command.COMMIT, txid)
             mine.request(Command.ABORT, txid)
 
-    def test_bad_frame_gets_bad_request(self, served):
-        _db, _server, host, port = served
+    def test_bad_frame_gets_bad_request(self, endpoint):
+        _db, _server, host, port = endpoint(idle_timeout_sec=30.0)
         with ClientConnection(host, port) as conn:
             conn.connect()
             # a frame whose payload is not a (request_id, command, args)
@@ -192,6 +192,22 @@ class TestBasicService:
             body = conn._recv_exact(protocol.frame_length(header))
             _rid, status, _payload = protocol.decode_response(body)
             assert status == protocol.Status.BAD_REQUEST
+
+    def test_wrong_arity_gets_bad_request(self, endpoint):
+        _db, _server, host, port = endpoint(idle_timeout_sec=30.0)
+        with ClientConnection(host, port) as conn:
+            txid = conn.request(Command.BEGIN, False)
+            for command, args in [
+                    (Command.LOOKUP, (txid, "accounts")),
+                    (Command.COMMIT, ()),
+                    (Command.COMMIT, (txid, txid)),
+                    (Command.READ, (txid, "accounts", 1, 2)),
+                    (Command.CLOCK_ADVANCE, ()),
+                    (Command.TXN_STATUS, ("not a txid",))]:
+                with pytest.raises(ProtocolError):
+                    conn.request(command, *args)
+            # a malformed request costs nothing: the txn is still open
+            conn.request(Command.COMMIT, txid)
 
 
 class TestNetworkedTpcc:
@@ -322,11 +338,8 @@ class TestSessionLifecycle:
         finally:
             remote.close()
 
-    def test_idle_session_is_reaped_and_its_txn_aborted(self):
-        db = make_accounts_db(EngineKind.SIASV)
-        server = DatabaseServer(db, ServerConfig(
-            port=0, idle_timeout_sec=0.2))
-        host, port = server.start_in_background()
+    def test_idle_session_is_reaped_and_its_txn_aborted(self, endpoint):
+        db, server, host, port = endpoint(idle_timeout_sec=0.2)
         idler = ClientConnection(host, port).connect()
         try:
             txid = idler.request(Command.BEGIN, False)
