@@ -93,6 +93,17 @@ def extract_means(data: dict) -> dict[str, float]:
             for bench in data.get("benchmarks", [])}
 
 
+def strip_samples(data: dict) -> dict:
+    """Drop the per-round sample arrays (``stats.data``) in place.
+
+    They are most of a pytest-benchmark JSON file's bytes, and the gate
+    reads only the summary statistics beside them.
+    """
+    for bench in data.get("benchmarks", []):
+        bench.get("stats", {}).pop("data", None)
+    return data
+
+
 def compare(baseline: dict[str, float], current: dict[str, float],
             threshold: float) -> int:
     """Print the comparison table; returns the number of regressions."""
@@ -158,7 +169,8 @@ def main(argv: list[str] | None = None) -> int:
             print("--save requires --bench all (the baseline covers every "
                   "suite)", file=sys.stderr)
             return 2
-        args.baseline.write_text(json.dumps(data, indent=1, sort_keys=True))
+        args.baseline.write_text(
+            json.dumps(strip_samples(data), indent=1, sort_keys=True))
         print(f"baseline saved to {args.baseline} "
               f"({len(current)} benchmarks)")
         return 0

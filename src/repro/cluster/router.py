@@ -220,6 +220,8 @@ class ClusterRouter(WireServer):
     #: the router never sheds: every job is exempt from admission and
     #: bounded only by the dispatcher's ``executor_workers`` slots
     exempt_commands = frozenset(Command)
+    #: nothing runs inline: every router job is blocking shard socket I/O
+    inline_commands = frozenset()
 
     def __init__(self, shards: list[tuple[str, int]],
                  config: RouterConfig | None = None,

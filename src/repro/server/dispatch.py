@@ -33,6 +33,17 @@ stream of reads cannot starve maintenance.  The lane is implemented with
 plain counters and :class:`asyncio.Event` — every mutation happens on the
 event-loop thread, and the *leave* path is synchronous, so a cancelled
 handler can never leak a gate token.
+
+Short reads skip the executor altogether on the **inline lane**
+(``inline=True``): the job passes the same deadline, admission, slot and
+lane checks and is counted in ``admitted``, then ``fn`` runs directly on
+the event-loop thread, saving the thread handoff that otherwise costs as
+much as the command itself.  While it runs the loop serves nothing else,
+so the rule is strict: inline work never waits on another transaction
+(no item lock), never waits on the WAL group-commit condition, and is
+bounded (no scans).  Snapshot-isolation readers take no locks, so BEGIN
+and point reads qualify; the server names its inline set next to the
+rule (``repro.server.server``).
 """
 
 from __future__ import annotations
@@ -157,7 +168,7 @@ class Dispatcher:
 
     @property
     def executing(self) -> int:
-        """Commands currently submitted to the executor."""
+        """Commands currently running, on the executor or inline."""
         return self._executing
 
     @property
@@ -169,6 +180,7 @@ class Dispatcher:
 
     async def run(self, name: str, fn: Callable[[], T], *,
                   exempt: bool = False, exclusive: bool = False,
+                  inline: bool = False,
                   deadline: float | None = None) -> T:
         """Run ``fn`` on the engine executor, or shed with ``OVERLOADED``.
 
@@ -176,7 +188,11 @@ class Dispatcher:
         cleanup) but still occupies an in-flight slot.  ``exclusive``
         drains the executor and runs ``fn`` with no other command in
         flight — for work (GC, DDL) that restructures state lock-free
-        readers traverse unlatched.  ``deadline`` is an absolute
+        readers traverse unlatched.  ``inline`` calls ``fn`` on the
+        event-loop thread instead of handing it to the executor, after
+        the same deadline, admission and lane checks — only for work that
+        never waits on another thread and is bounded (see the module
+        docstring).  ``deadline`` is an absolute
         ``time.monotonic`` instant: work that expired on arrival is
         rejected outright, work that expires while waiting for a slot is
         shed when the slot frees up — in both cases *before* the engine
@@ -216,6 +232,8 @@ class Dispatcher:
             if exclusive:
                 self.stats.exclusive_runs += 1
             try:
+                if inline:
+                    return fn()
                 loop = asyncio.get_running_loop()
                 return await loop.run_in_executor(self._executor, fn)
             finally:

@@ -112,12 +112,31 @@ _WRITE_COMMANDS = frozenset({
 #: traverse without latches, so no other command may be in flight.
 _EXCLUSIVE = frozenset({Command.MAINTENANCE, Command.CREATE_TABLE})
 
+#: Commands whose engine work runs on the event-loop thread, skipping the
+#: executor handoff.  The rule: an inline command never waits on another
+#: transaction, never waits on the WAL group-commit condition, and is
+#: bounded — it holds the loop, so any wait would stall every session.
+#: Snapshot-isolation readers take no item locks, so BEGIN and point
+#: reads qualify; the rest only take short internal mutexes.  Writes
+#: (INSERT, BULK_INSERT, UPDATE, DELETE) stay on the executor because
+#: they may wait for an item lock whose holder's COMMIT the blocked loop
+#: could then never serve; COMMIT, PREPARE_TXN and COMMIT_PREPARED may
+#: force or park on the WAL; scans, RANGE_LOOKUP and AGGREGATE are
+#: unbounded; TICK and MAINTENANCE do background work.  A read-only
+#: COMMIT stays on the executor too, so a committing burst still holds
+#: worker slots and admission control still sheds under it.
+_INLINE = frozenset({
+    Command.BEGIN, Command.LOOKUP, Command.READ, Command.CLOSED_TS,
+    Command.TXN_STATUS, Command.CLOCK_NOW,
+})
+
 
 class DatabaseServer(WireServer):
     """Serves one :class:`Database` over length-prefixed TCP frames."""
 
     exempt_commands = _EXEMPT
     exclusive_commands = _EXCLUSIVE
+    inline_commands = _INLINE
 
     def __init__(self, db: Database, config: ServerConfig | None = None,
                  replication: object | None = None) -> None:

@@ -155,6 +155,9 @@ class WireServer:
     exempt_commands: frozenset = frozenset()
     #: commands that run alone on the dispatcher's exclusive lane
     exclusive_commands: frozenset = frozenset()
+    #: commands whose work runs on the event-loop thread instead of the
+    #: executor (see :mod:`repro.server.dispatch` for the rule)
+    inline_commands: frozenset = frozenset()
 
     def __init__(self, config, dispatch: Dispatcher,
                  chaos: object | None = None) -> None:
@@ -522,6 +525,7 @@ class WireServer:
         return await self.dispatch.run(
             command.name, fn, exempt=command in self.exempt_commands,
             exclusive=command in self.exclusive_commands,
+            inline=command in self.inline_commands,
             deadline=None if session is None else session.deadline)
 
     async def _reaper(self) -> None:

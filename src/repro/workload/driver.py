@@ -167,7 +167,7 @@ class TpccDriver:
     def run_for(self, duration_usec: int) -> Metrics:
         """Run until the simulated clock advances by ``duration_usec``."""
         clock = self.db.clock
-        self.metrics.start_usec = clock.now
+        self._open_window()
         deadline = clock.now + duration_usec
         while clock.now < deadline:
             self._round()
@@ -179,13 +179,23 @@ class TpccDriver:
     def run_transactions(self, count: int) -> Metrics:
         """Run until ``count`` transactions finished (commit or abort)."""
         clock = self.db.clock
-        self.metrics.start_usec = clock.now
+        self._open_window()
         while len(self.metrics.outcomes) < count:
             self._round()
             self._background()
         self._drain()
         self.metrics.end_usec = clock.now
         return self.metrics
+
+    def _open_window(self) -> None:
+        """Start the measured window at the first run call only.
+
+        Later calls extend the window: the metrics keep every earlier
+        outcome, so restarting the span would divide all of them by the
+        last call's time alone and inflate the rates.
+        """
+        if not self.metrics.outcomes:
+            self.metrics.start_usec = self.db.clock.now
 
     def _drain(self) -> None:
         """Finish every in-flight transaction (closed books at run end)."""

@@ -18,6 +18,7 @@ Covers the acceptance contract end to end:
 
 from __future__ import annotations
 
+import asyncio
 import importlib.util
 import pathlib
 import threading
@@ -27,6 +28,7 @@ import pytest
 
 from repro.client import ClientConnection, RemoteDatabase
 from repro.common.errors import (
+    DeadlineExceededError,
     OverloadedError,
     ProtocolError,
     SerializationError,
@@ -35,7 +37,7 @@ from repro.common.errors import (
 from repro.db.database import EngineKind
 from repro.db.monitor import snapshot
 from repro.pages.layout import Tid
-from repro.server import Command, DatabaseServer, ServerConfig
+from repro.server import Command, DatabaseServer, Dispatcher, ServerConfig
 from repro.server import protocol
 from tests.conftest import make_accounts_db
 
@@ -274,10 +276,6 @@ class TestOverload:
             server.stop_in_background()
 
     def test_dispatcher_sheds_beyond_watermark_but_exempts_cleanup(self):
-        import asyncio
-
-        from repro.server import Dispatcher
-
         async def scenario() -> None:
             dispatcher = Dispatcher(max_in_flight=1, max_queue_depth=0)
             gate = threading.Event()
@@ -302,6 +300,154 @@ class TestOverload:
             dispatcher.close()
 
         asyncio.run(scenario())
+
+
+class TestInlineLane:
+    """Inline jobs skip only the executor handoff, never a check."""
+
+    @staticmethod
+    async def _occupy(dispatcher, gate: threading.Event):
+        """Start an executor job parked on ``gate``; return its future."""
+        job = asyncio.ensure_future(dispatcher.run("SLOW", gate.wait))
+        for _ in range(200):
+            if dispatcher.executing >= 1:
+                break
+            await asyncio.sleep(0.005)
+        assert dispatcher.executing >= 1
+        return job
+
+    def test_inline_runs_on_the_loop_thread_and_is_admitted(self):
+        async def scenario() -> None:
+            dispatcher = Dispatcher(max_in_flight=2, max_queue_depth=0)
+            loop_thread = threading.get_ident()
+            inline_thread = await dispatcher.run(
+                "LOOKUP", threading.get_ident, inline=True)
+            pooled_thread = await dispatcher.run(
+                "UPDATE", threading.get_ident)
+            assert inline_thread == loop_thread
+            assert pooled_thread != loop_thread
+            assert dispatcher.stats.admitted == 2
+            assert dispatcher.executing == 0
+            dispatcher.close()
+
+        asyncio.run(scenario())
+
+    def test_inline_is_rejected_past_its_deadline(self):
+        async def scenario() -> None:
+            dispatcher = Dispatcher()
+            ran = []
+            with pytest.raises(DeadlineExceededError):
+                await dispatcher.run("LOOKUP", lambda: ran.append(1),
+                                     inline=True,
+                                     deadline=time.monotonic() - 1.0)
+            assert not ran
+            assert dispatcher.stats.deadline_rejected == 1
+            assert dispatcher.stats.admitted == 0
+            dispatcher.close()
+
+        asyncio.run(scenario())
+
+    def test_inline_is_shed_when_the_only_slot_is_held(self):
+        async def scenario() -> None:
+            dispatcher = Dispatcher(max_in_flight=1, max_queue_depth=0)
+            gate = threading.Event()
+            try:
+                slow = await self._occupy(dispatcher, gate)
+                with pytest.raises(OverloadedError):
+                    await dispatcher.run("LOOKUP", lambda: None,
+                                         inline=True)
+                assert dispatcher.stats.of("LOOKUP").shed == 1
+                assert dispatcher.stats.shed_total == 1
+                gate.set()
+                assert await slow is True
+                # with the slot free again the same job is admitted
+                assert await dispatcher.run("LOOKUP", lambda: 7,
+                                            inline=True) == 7
+            finally:
+                gate.set()  # never strand a worker thread on failure
+                dispatcher.close()
+
+        asyncio.run(scenario())
+
+    def test_inline_waits_behind_a_pending_exclusive_job(self):
+        async def scenario() -> None:
+            dispatcher = Dispatcher(max_in_flight=4, max_queue_depth=4)
+            gate = threading.Event()
+            order: list[str] = []
+            try:
+                slow = await self._occupy(dispatcher, gate)
+                exclusive = asyncio.ensure_future(dispatcher.run(
+                    "MAINTENANCE", lambda: order.append("exclusive"),
+                    exclusive=True))
+                await asyncio.sleep(0.02)
+                inline = asyncio.ensure_future(dispatcher.run(
+                    "LOOKUP", lambda: order.append("inline"), inline=True))
+                await asyncio.sleep(0.02)
+                # the exclusive job waits for SLOW to drain; the inline
+                # job queues behind it instead of slipping past on the loop
+                assert not exclusive.done() and not inline.done()
+                assert order == []
+                gate.set()
+                await asyncio.gather(slow, exclusive, inline)
+                assert order == ["exclusive", "inline"]
+                assert dispatcher.stats.exclusive_runs == 1
+            finally:
+                gate.set()
+                dispatcher.close()
+
+        asyncio.run(scenario())
+
+    def test_inline_set_excludes_waiting_and_unbounded_commands(self):
+        from repro.server.server import _EXCLUSIVE, _WRITE_COMMANDS
+
+        inline = DatabaseServer.inline_commands
+        finishing = {Command.COMMIT, Command.ABORT, Command.PREPARE_TXN,
+                     Command.COMMIT_PREPARED, Command.ABORT_PREPARED,
+                     Command.TICK}
+        assert not inline & _WRITE_COMMANDS
+        assert not inline & _EXCLUSIVE
+        assert not inline & finishing
+        assert not inline & {Command.SCAN, Command.SCAN_BATCH,
+                             Command.SCAN_VID_RANGE, Command.RANGE_LOOKUP,
+                             Command.AGGREGATE}
+        assert Command.LOOKUP in inline and Command.BEGIN in inline
+
+    def test_lookup_under_a_held_item_lock_returns_the_old_version(self):
+        db = make_accounts_db(EngineKind.SIASV)
+        config = ServerConfig(port=0, executor_workers=2,
+                              idle_timeout_sec=30.0)
+        server = DatabaseServer(db, config)
+        host, port = server.start_in_background()
+        writer = RemoteDatabase.connect(host, port)
+        reader = RemoteDatabase.connect(host, port)
+        try:
+            seed = writer.begin()
+            ref = writer.insert(seed, "accounts", (1, "hot", 10.0))
+            writer.commit(seed)
+            holder = writer.begin()
+            writer.update(holder, "accounts", ref, (1, "hot", 99.0))
+            assert db.txn_mgr.locks.held_count() == 1
+
+            txn = reader.begin()
+            started = time.monotonic()
+            [(got_ref, row)] = reader.lookup(txn, "accounts", "pk", 1)
+            elapsed = time.monotonic() - started
+            assert got_ref == ref and row == (1, "hot", 10.0)
+            assert reader.read(txn, "accounts", ref) == (1, "hot", 10.0)
+            # a reader never queues on the writer's item lock
+            assert elapsed < config.lock_wait_timeout_sec
+            assert db.txn_mgr.locks.stats.waits == 0
+            reader.commit(txn)
+
+            writer.commit(holder)
+            after = reader.begin()
+            [(_ref, row)] = reader.lookup(after, "accounts", "pk", 1)
+            assert row == (1, "hot", 99.0)
+            reader.commit(after)
+        finally:
+            reader.close()
+            writer.close()
+            server.stop_in_background()
 
 
 class TestSessionLifecycle:

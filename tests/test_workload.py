@@ -289,6 +289,20 @@ class TestDriver:
         driver.run_for(2 * units.SEC)
         assert driver.maintenance_runs >= 2
 
+    def test_batched_runs_keep_one_measured_window(self):
+        db = _tiny_db()
+        driver = TpccDriver(db, warehouses=2, scale=TINY_SCALE,
+                            config=DriverConfig(clients=2))
+        first_call = db.clock.now
+        driver.run_transactions(40)
+        metrics = driver.run_transactions(80)
+        assert len(metrics.outcomes) >= 80
+        assert metrics.span_usec == db.clock.now - first_call
+        # the rate covers every outcome, not just the last batch's
+        assert metrics.notpm() == pytest.approx(
+            metrics.commits(TxnType.NEW_ORDER)
+            / ((db.clock.now - first_call) / units.MINUTE))
+
     def test_outcomes_have_response_times(self):
         db = _tiny_db()
         driver = TpccDriver(db, warehouses=2, scale=TINY_SCALE,
